@@ -239,8 +239,8 @@ func (p *Planner) buildPlan(out Plan, cfg Config, now, sStar float64) (Plan, err
 	if err != nil {
 		return Plan{}, err
 	}
-	if s := (yds.Schedule{Segments: segs}).MaxSpeed(); s > sStar*(1+1e-9)+1e-12 {
-		return Plan{}, fmt.Errorf("qeopt: Energy-OPT speed %g exceeds budget speed %g (Theorem 1 violated)", s, sStar)
+	if err := checkTheorem1(segs, out.Allocs, sStar); err != nil {
+		return Plan{}, err
 	}
 	clampSpeedsInPlace(segs, sStar)
 	if !discrete {
@@ -360,6 +360,37 @@ func snapSpeedCapped(l power.Ladder, cap, s float64) float64 {
 		return down
 	}
 	return 0
+}
+
+// checkTheorem1 verifies that no Energy-OPT segment runs faster than the
+// budget speed sStar (Theorem 1), up to the roundoff the allocation carries.
+//
+// An allocation's Volume is Total − Progress, where Total is a water level
+// accurate to a few ulp of Total, not of Volume. A job that is nearly done
+// has a Volume many orders of magnitude below Total, and YDS divides it by
+// what is left of its window, which can be nanoseconds. So the speed of a
+// segment of duration τ may exceed sStar by up to ΣδV / (Rate(1)·τ), with
+// δV = 4·ulp(Total) per allocation, on top of the relative 1e-9 the
+// division itself may cost. A real violation of Theorem 1 is off by far
+// more than either.
+func checkTheorem1(segs []yds.Segment, allocs []tians.Allocation, sStar float64) error {
+	volErr := 0.0
+	for _, a := range allocs {
+		if a.Volume > 0 {
+			volErr += 4 * (math.Nextafter(a.Total, math.Inf(1)) - a.Total)
+		}
+	}
+	limit := sStar*(1+1e-9) + 1e-12
+	for _, seg := range segs {
+		if seg.Speed <= limit {
+			continue
+		}
+		if dur := seg.End - seg.Start; dur > 0 && seg.Speed <= limit+volErr/(power.Rate(1)*dur) {
+			continue
+		}
+		return fmt.Errorf("qeopt: Energy-OPT speed %g exceeds budget speed %g (Theorem 1 violated)", seg.Speed, sStar)
+	}
+	return nil
 }
 
 // clampSpeedsInPlace is clampSpeeds without the defensive copy; callers own

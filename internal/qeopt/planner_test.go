@@ -7,6 +7,8 @@ import (
 
 	"dessched/internal/job"
 	"dessched/internal/power"
+	"dessched/internal/tians"
+	"dessched/internal/yds"
 )
 
 func plannerConfigs() map[string]Config {
@@ -171,5 +173,47 @@ func TestPlannerFixedSpeedSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady-state FixedSpeed allocates %.1f objects/op", allocs)
+	}
+}
+
+// A job with 6.5 ns of window left and a 1.3e-5 volume to go: the water
+// level carries an error of an ulp of the job's ~148 total, which is 2e-9
+// of the volume, so Energy-OPT's speed overshoots the budget speed by
+// 1.06e-9 relative. This is the planner input that made the classed chaos
+// cluster (seed 23) panic with "Theorem 1 violated"; roundoff of this kind
+// must be tolerated and clamped, not reported.
+func TestOnlineTolerantOfNearlyDoneJobRoundoff(t *testing.T) {
+	cfg := Config{Power: power.Model{A: 5, Beta: 2}, Budget: 19.18493135050378}
+	now := 287.16631916550637
+	ready := []job.Ready{
+		{Job: job.Job{ID: 103264, Release: 287.0163191719579, Deadline: 287.16631917195787, Demand: 148.03478174552117, Partial: true}, Done: 148.03476743307667, Running: true},
+		{Job: job.Job{ID: 103320, Release: 287.165710156561, Deadline: 287.31571015656095, Demand: 133.91694211991765, Partial: true}},
+	}
+	plan, err := Online(cfg, now, ready)
+	if err != nil {
+		t.Fatalf("Online: %v", err)
+	}
+	sStar := cfg.SpeedCap()
+	for _, seg := range plan.Segments {
+		if seg.Speed > sStar {
+			t.Errorf("segment for job %d runs at %v, above the budget speed %v", seg.ID, seg.Speed, sStar)
+		}
+	}
+	if err := plan.Validate(cfg, now, ready); err != nil {
+		t.Errorf("plan invalid: %v", err)
+	}
+}
+
+// The roundoff allowance must not hide a real Theorem 1 violation: a
+// segment well above the budget speed is still reported.
+func TestCheckTheorem1RejectsRealOvershoot(t *testing.T) {
+	allocs := []tians.Allocation{{ID: 1, Volume: 100, Total: 100}}
+	segs := []yds.Segment{{ID: 1, Start: 0, End: 0.05, Speed: 2}}
+	if err := checkTheorem1(segs, allocs, 2); err != nil {
+		t.Fatalf("speed at the cap rejected: %v", err)
+	}
+	segs[0].Speed = 2 * (1 + 1e-6)
+	if err := checkTheorem1(segs, allocs, 2); err == nil {
+		t.Fatal("a 1e-6 relative overshoot was accepted")
 	}
 }

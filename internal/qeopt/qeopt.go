@@ -23,8 +23,6 @@
 package qeopt
 
 import (
-	"fmt"
-
 	"dessched/internal/job"
 	"dessched/internal/power"
 	"dessched/internal/tians"
@@ -147,8 +145,8 @@ func Offline(cfg Config, tasks []tians.Task, partial map[job.ID]bool) (Plan, err
 	if err != nil {
 		return Plan{}, err
 	}
-	if s := sched.MaxSpeed(); s > sStar*(1+1e-9)+1e-12 {
-		return Plan{}, fmt.Errorf("qeopt: Energy-OPT speed %g exceeds budget speed %g (Theorem 1 violated)", s, sStar)
+	if err := checkTheorem1(sched.Segments, allocs, sStar); err != nil {
+		return Plan{}, err
 	}
 	return Plan{Segments: clampSpeeds(sched.Segments, sStar), Allocs: allocs, Discarded: discarded}, nil
 }
