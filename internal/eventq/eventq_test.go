@@ -93,9 +93,8 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 }
 
-// Bulk insert then full drain — the pattern sim.Run uses at startup (two
-// events per job) — must come out in exact (time, insertion) order even at
-// scale, including runs of equal-time events.
+// Bulk insert then full drain must come out in exact (time, insertion)
+// order even at scale, including runs of equal-time events.
 func TestBulkInsertDrainStableOrder(t *testing.T) {
 	const n = 50000
 	rng := rand.New(rand.NewSource(3))
@@ -103,7 +102,6 @@ func TestBulkInsertDrainStableOrder(t *testing.T) {
 		id int
 	}
 	var q Queue[tagged]
-	q.Grow(n)
 	times := make([]float64, n)
 	for i := 0; i < n; i++ {
 		// Coarse-grained times force many exact ties.
@@ -178,8 +176,9 @@ func TestInterleavedChurnDeterministic(t *testing.T) {
 }
 
 // Steady-state Push/Pop on a warmed queue must not allocate: the simulator
-// pushes one event per plan segment, so a per-push allocation would dominate
-// the allocs/event budget tracked in BENCH_sim.json.
+// pushes a segment boundary for nearly every event it handles, so a
+// per-push allocation would dominate the allocs/event budget tracked in
+// BENCH_sim.json.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	var q Queue[int]
 	for i := 0; i < 1024; i++ {
@@ -191,5 +190,172 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Push/Pop allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
+// A slot-based schedule — reserve a number per chain event, queue only the
+// chain's next event in its slot, replace the slot when the chain is
+// replaced — must pop the live events in exactly the order of pushing every
+// chain event up front and skipping outdated ones at pop, equal-time ties
+// included, with plain pushes interleaved.
+func TestSlotScheduleMatchesEagerOrder(t *testing.T) {
+	const slots = 8
+	type tag struct {
+		slot, version, k int // slot -1: a plain event
+	}
+	type op struct {
+		pop    bool
+		plain  bool
+		slot   int
+		dt     []float64 // chain event offsets from now, non-decreasing
+		plainT float64
+	}
+	rng := rand.New(rand.NewSource(5))
+	var ops []op
+	for i := 0; i < 20000; i++ {
+		switch r := rng.Intn(6); {
+		case r < 3:
+			ops = append(ops, op{pop: true})
+		case r == 3:
+			ops = append(ops, op{plain: true, plainT: float64(rng.Intn(3))})
+		default:
+			n := rng.Intn(5) // an empty chain clears the slot
+			dt := make([]float64, n)
+			cur := float64(rng.Intn(2))
+			for k := range dt {
+				cur += float64(rng.Intn(2)) // coarse steps force exact ties
+				dt[k] = cur
+			}
+			ops = append(ops, op{slot: rng.Intn(slots), dt: dt})
+		}
+	}
+
+	// eager pushes every chain event and drops outdated ones at pop.
+	eager := func() []tag {
+		var q Queue[tag]
+		var version [slots]int
+		var order []tag
+		now := 0.0
+		for i, o := range ops {
+			switch {
+			case o.pop:
+				for q.Len() > 0 {
+					it, _ := q.Pop()
+					if tg := it.Payload; tg.slot >= 0 && tg.version != version[tg.slot] {
+						continue
+					}
+					now = it.Time
+					order = append(order, it.Payload)
+					break
+				}
+			case o.plain:
+				q.Push(now+o.plainT, tag{-1, i, 0})
+			default:
+				version[o.slot]++
+				for k, dt := range o.dt {
+					q.Push(now+dt, tag{o.slot, version[o.slot], k})
+				}
+			}
+		}
+		return order
+	}
+	// slotted queues one event per chain and replaces it on replan.
+	slotted := func() []tag {
+		var q Queue[tag]
+		var version [slots]int
+		var base [slots]uint64
+		var times [slots][]float64
+		var order []tag
+		now := 0.0
+		for i, o := range ops {
+			switch {
+			case o.pop:
+				if q.Len() == 0 {
+					continue
+				}
+				it, _ := q.Pop()
+				now = it.Time
+				order = append(order, it.Payload)
+				if tg := it.Payload; tg.slot >= 0 && tg.k+1 < len(times[tg.slot]) {
+					q.SetSlot(tg.slot, times[tg.slot][tg.k+1], base[tg.slot]+uint64(tg.k+1), tag{tg.slot, tg.version, tg.k + 1})
+				}
+			case o.plain:
+				q.Push(now+o.plainT, tag{-1, i, 0})
+			default:
+				version[o.slot]++
+				base[o.slot] = q.Reserve(len(o.dt))
+				times[o.slot] = times[o.slot][:0]
+				for _, dt := range o.dt {
+					times[o.slot] = append(times[o.slot], now+dt)
+				}
+				if len(o.dt) == 0 {
+					q.ClearSlot(o.slot)
+					continue
+				}
+				q.SetSlot(o.slot, times[o.slot][0], base[o.slot], tag{o.slot, version[o.slot], 0})
+			}
+		}
+		return order
+	}
+	a, b := eager(), slotted()
+	if len(a) != len(b) {
+		t.Fatalf("slotted pops %d live events, eager %d", len(b), len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("pop %d: slotted %+v, eager %+v", i, b[i], a[i])
+		}
+	}
+}
+
+// A slot holds at most one event: SetSlot replaces it in place (moving it
+// either way in the order), ClearSlot removes it, and Snapshot/Restore keep
+// track of which item fills which slot.
+func TestSlots(t *testing.T) {
+	var q Queue[string]
+	base := q.Reserve(4)
+	q.Push(5, "plain")
+	q.SetSlot(2, 7, base, "a")
+	q.SetSlot(0, 3, base+1, "b")
+	q.SetSlot(2, 1, base+2, "a2") // replaces "a", moving up
+	q.SetSlot(0, 9, base+3, "b2") // replaces "b", moving down
+	if q.Len() != 3 {
+		t.Fatalf("len %d after replacements, want 3", q.Len())
+	}
+	items, seq := q.Snapshot()
+	var r Queue[string]
+	r.Restore(append([]Item[string](nil), items...), seq)
+	r.ClearSlot(1) // empty slot: no-op
+	r.ClearSlot(2)
+	var got []string
+	for r.Len() > 0 {
+		it, _ := r.Pop()
+		got = append(got, it.Payload)
+	}
+	if want := []string{"plain", "b2"}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("restored pops %v, want %v", got, want)
+	}
+	r.SetSlot(0, 1, r.Reserve(1), "c") // the popped slot is free again
+	if it, _ := r.Pop(); it.Payload != "c" || r.Len() != 0 {
+		t.Fatalf("refilled slot popped %q, len %d", it.Payload, r.Len())
+	}
+}
+
+// Reserve advances the counter exactly like that many pushes, so numbers
+// given out afterwards match an up-front push of the reserved events.
+func TestReserveAdvancesSequence(t *testing.T) {
+	var q Queue[int]
+	if base := q.Reserve(3); base != 0 {
+		t.Fatalf("first reservation starts at %d, want 0", base)
+	}
+	q.Push(1, 0)
+	if it, _ := q.Peek(); it.Seq() != 3 {
+		t.Fatalf("push after Reserve(3) got seq %d, want 3", it.Seq())
+	}
+	if base := q.Reserve(0); base != 4 {
+		t.Fatalf("empty reservation at %d, want 4", base)
+	}
+	if !Before(1, 5, 1, 6) || Before(1, 6, 1, 5) || !Before(0.5, 9, 1, 0) {
+		t.Fatal("Before disagrees with the queue order")
 	}
 }

@@ -307,12 +307,12 @@ type CoreState struct {
 	Index int
 	Jobs  []*JobState // assigned, undeparted jobs in arrival order
 
-	plan        []yds.Segment // absolute-time execution plan from the last invocation
-	planVersion int
-	planCursor  int     // first segment not fully settled
-	settledTo   float64 // execution integrated up to here
-	busyTime    float64 // total executing time
-	energy      float64 // dynamic energy from execution
+	plan       []yds.Segment // absolute-time execution plan from the last invocation
+	planSeq    uint64        // sequence number reserved for plan[0]'s boundary; plan[k] has planSeq+k
+	planCursor int           // first segment not fully settled
+	settledTo  float64       // execution integrated up to here
+	busyTime   float64       // total executing time
+	energy     float64       // dynamic energy from execution
 }
 
 // Plan returns the core's current plan (shared slice; policies must not

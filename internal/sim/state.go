@@ -150,8 +150,11 @@ func (s *State) SetPlan(core int, segs []yds.Segment) {
 	}
 	c.plan = segs
 	c.planCursor = 0
-	c.planVersion++
-	s.engine.schedulePlanEvents(c)
+	// Claim a sequence number per segment, as if every boundary were queued
+	// now, but queue only the first in place of the old plan's: each
+	// boundary queues the next when it pops.
+	c.planSeq = s.engine.events.Reserve(len(segs))
+	s.engine.armBoundary(c, 0)
 }
 
 // Discard departs a job immediately with its current progress (§V-D: jobs

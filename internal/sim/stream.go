@@ -5,19 +5,21 @@
 // jobs are folded into the running Result the moment their deadlines pass.
 //
 // Equivalence to the batch path: Feed/Advance/Finish pop and process the
-// same events through the same processEvent body, and the result fold
-// performs the same float additions in the same (arrival) order, so
+// same events through the same processEvent body — Feed appends to the same
+// arrival and per-class deadline runs Run fills (cursor.go) — and the result
+// fold performs the same float additions in the same (arrival) order, so
 // quality, energy, and per-class figures are bit-identical to Run on the
 // materialized stream. Two documented divergences remain. First, event
-// tie-breaks: equal-time events can pop in a different FIFO order than the
-// batch run pushes them (arrival times, deadlines, and quantum ticks are
-// continuous quantities, so exact ties have measure zero in generated
-// workloads). Second, engine lifetime: a batch engine knows its last
-// arrival up front and stops at its final departure, while a streamed
-// engine must keep its periodic quantum alive until the caller declares the
-// fleet-wide stream exhausted (ExpectMore(false)) — so Events and
-// Invocation counts can exceed the batch run's for engines that idle
-// through the fleet's tail.
+// tie-breaks: a window's arrivals and deadlines take their sequence numbers
+// when it is fed, after events the engine queued earlier, so equal-time
+// events can pop in a different order than in the batch run (arrival
+// times, deadlines, and quantum ticks are continuous quantities, so exact
+// ties have measure zero in generated workloads). Second, engine lifetime:
+// a batch engine knows its last arrival up front and stops at its final
+// departure, while a streamed engine must keep its periodic quantum alive
+// until the caller declares the fleet-wide stream exhausted
+// (ExpectMore(false)) — so Events and Invocation counts can exceed the
+// batch run's for engines that idle through the fleet's tail.
 package sim
 
 import (
@@ -41,7 +43,7 @@ const keepBudgetWindows = 16
 type Stream struct {
 	e          *engine
 	validator  job.StreamValidator
-	started    bool // static events pushed (on the first non-empty Feed)
+	started    bool // quantum and fault edges queued (on the first non-empty Feed)
 	drained    bool // terminal: every fed job departed, no more arrivals
 	advancedTo float64
 	fed        int
@@ -94,14 +96,16 @@ func (st *Stream) Feed(jobs []job.Job) error {
 	if len(jobs) == 0 {
 		return nil
 	}
+	e.addJobs(jobs)
+	st.fed += len(jobs)
 	if !st.started {
-		// First arrivals: push the static events in Run's exact order —
-		// arrivals and deadlines, then the quantum at the first release,
-		// then fault and budget-fault edges — so FIFO tie-breaks among
-		// simultaneous static events match the batch run's.
+		// First arrivals: queue the other static events in Run's exact
+		// order — after the jobs' reserved numbers, the quantum at the
+		// first release, then fault and budget-fault edges — so FIFO
+		// tie-breaks among simultaneous static events match the batch
+		// run's.
 		st.started = true
 		e.firstRelease = jobs[0].Release
-		st.push(jobs)
 		if e.cfg.Triggers.Quantum > 0 {
 			e.events.Push(e.firstRelease, simEvent{kind: evkQuantum})
 			e.quantumLive = true
@@ -127,25 +131,8 @@ func (st *Stream) Feed(jobs []job.Job) error {
 				e.events.Push(f.End, simEvent{kind: evkFaultEdge})
 			}
 		}
-	} else {
-		st.push(jobs)
 	}
 	return nil
-}
-
-// push registers a batch of arrivals with the engine.
-func (st *Stream) push(jobs []job.Job) {
-	e := st.e
-	e.events.Grow(e.events.Len() + 2*len(jobs))
-	for i := range jobs {
-		js := &JobState{Job: jobs[i], Core: -1}
-		e.all = append(e.all, js)
-		e.events.Push(js.Job.Release, simEvent{kind: evkArrival, js: js})
-		e.events.Push(js.Job.Deadline, simEvent{kind: evkDeadline, js: js})
-	}
-	e.undeparted += len(jobs)
-	e.pendingArrivals += len(jobs)
-	st.fed += len(jobs)
 }
 
 // ExtendBudget declares the effective power-budget fraction over the epoch
@@ -218,11 +205,10 @@ func (st *Stream) Advance(until float64) error {
 	}
 	if !st.drained {
 		for {
-			top, ok := e.events.Peek()
-			if !ok || top.Time >= until {
+			it, ok := e.nextEvent(until)
+			if !ok {
 				break
 			}
-			it, _ := e.events.Pop()
 			stop, err := e.processEvent(it)
 			if err != nil {
 				return err
@@ -243,7 +229,7 @@ func (st *Stream) Advance(until float64) error {
 // drops the references. A job is foldable once its deadline lies strictly
 // before the advanced-to time: its arrival and deadline events have popped,
 // and any retry event it scheduled (always at or before the deadline) has
-// too, so nothing in the event heap can reference it. Folding strictly
+// too, so no pending event can reference it. Folding strictly
 // front-to-back keeps the fold in arrival order — the batch result order.
 func (st *Stream) compact() {
 	e := st.e
