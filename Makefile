@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLoadJobs -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -fuzz=FuzzWriteSSE -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/workloadspec
+	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/sim
 
 # Run a short chaotic simulation and export it as a Perfetto trace.
 # Open results/trace.json in https://ui.perfetto.dev to browse per-core

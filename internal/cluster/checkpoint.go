@@ -11,7 +11,7 @@ import (
 )
 
 // SnapshotKind discriminates a cluster snapshot from a single-server one
-// inside the shared dessched-checkpoint/v1 envelope.
+// inside the shared versioned envelope (sim.SnapshotVersion).
 const SnapshotKind = "cluster"
 
 // CheckpointConfig enables cluster-level checkpointing. The natural

@@ -280,7 +280,7 @@ func TestClusterCheckpointRejects(t *testing.T) {
 	if _, err := DecodeSnapshot([]byte(`not json`)); !errors.As(err, &ce) {
 		t.Errorf("garbage snapshot decode: err = %v, want *cfgerr.Error", err)
 	}
-	if _, err := DecodeSnapshot([]byte(`{"version":"dessched-checkpoint/v1","kind":"cluster","servers":2,"done":[{"server":5}]}`)); !errors.As(err, &ce) {
+	if _, err := DecodeSnapshot([]byte(`{"version":"dessched-checkpoint/v2","kind":"cluster","servers":2,"done":[{"server":5}]}`)); !errors.As(err, &ce) {
 		t.Errorf("out-of-range server index accepted: %v", err)
 	}
 }

@@ -37,7 +37,7 @@ import (
 )
 
 // StreamSnapshotKind discriminates a streamed-cluster snapshot inside the
-// shared dessched-checkpoint/v1 envelope.
+// shared versioned envelope (sim.SnapshotVersion).
 const StreamSnapshotKind = "cluster-stream"
 
 // StreamCheckpointConfig enables epoch-boundary checkpointing on the

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dessched/internal/cfgerr"
 	"dessched/internal/job"
 	"dessched/internal/sim"
 	"dessched/internal/workload"
@@ -324,8 +326,12 @@ func TestResumeStreamRejectsMismatches(t *testing.T) {
 		t.Fatal("resume accepted a source that does not replay the checkpointed prefix")
 	}
 
-	if _, err := DecodeStreamSnapshot([]byte(`{"version":"dessched-checkpoint/v1","kind":"cluster","servers":3}`)); err == nil {
+	if _, err := DecodeStreamSnapshot([]byte(`{"version":"dessched-checkpoint/v2","kind":"cluster","servers":3}`)); err == nil {
 		t.Fatal("stream decoder accepted a batch cluster snapshot")
+	}
+	var ce *cfgerr.Error
+	if _, err := DecodeStreamSnapshot([]byte(`{"version":"dessched-checkpoint/v1","kind":"cluster-stream","servers":3}`)); !errors.As(err, &ce) {
+		t.Fatalf("stream decoder on a v1 snapshot: err = %v, want *cfgerr.Error", err)
 	}
 }
 

@@ -48,6 +48,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(`{"version":"dessched-checkpoint/v1","cores":[{"plan_cursor":-1}]}`))
 	f.Add([]byte(`{"version":"dessched-checkpoint/v1","cores":[{}],"events":[{"kind":250}]}`))
 	f.Add(valid[:len(valid)/2])
+	// v2 shapes: static runs and per-core boundaries with hostile values.
+	f.Add([]byte(`{"version":"dessched-checkpoint/v2","cores":[{}],"arrivals":[{"t":1,"seq":0,"job":7}]}`))
+	f.Add([]byte(`{"version":"dessched-checkpoint/v2","jobs":[{"core":-1}],"cores":[{}],"deadlines":[{"t":1,"seq":1,"job":-1}]}`))
+	f.Add([]byte(`{"version":"dessched-checkpoint/v2","cores":[{"seq_base":4,"plan":[{"end":1}]}],"events":[{"kind":2,"seq":9,"core":0,"job":-1}]}`))
+	f.Add([]byte(`{"version":"dessched-checkpoint/v2","cores":[{"plan":[{"end":1}]}],"events":[{"kind":2,"core":0,"job":-1},{"kind":2,"core":0,"job":-1}]}`))
+	f.Add([]byte(`{"version":"dessched-checkpoint/v2","jobs":[{"core":-1}],"cores":[{}],"events":[{"kind":0,"job":0,"core":-1}]}`))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := sim.DecodeSnapshot(b)

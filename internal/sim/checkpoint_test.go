@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"dessched/internal/cfgerr"
@@ -263,5 +265,40 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	}
 	if _, err := sim.Resume(cfg, core.NewPlainRR(core.CDVFS), snap); err == nil {
 		t.Error("resume under a different policy accepted")
+	}
+}
+
+// A v1 snapshot — whose heap held every arrival, deadline and plan segment —
+// cannot be resumed by an engine that keeps those events elsewhere: decoding
+// and resuming both refuse it with a typed error.
+func TestSnapshotRejectsV1(t *testing.T) {
+	sc := checkpointScenarios()[0]
+	cfg, _, bursts := sc.build(t)
+	jobs := sc.stream(t, bursts)
+	var snap *sim.Snapshot
+	ck := cfg
+	ck.Checkpoint = &sim.CheckpointConfig{
+		Every: 0.5,
+		Sink:  func(s *sim.Snapshot) error { snap = s; return nil },
+	}
+	if _, err := sim.Run(ck, jobs, core.New(core.CDVFS)); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || snap.Version != sim.SnapshotVersion || sim.SnapshotVersion != "dessched-checkpoint/v2" {
+		t.Fatalf("snapshot version %v, want dessched-checkpoint/v2", snap)
+	}
+	b, err := sim.EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(b, []byte(`"dessched-checkpoint/v2"`), []byte(`"dessched-checkpoint/v1"`), 1)
+	var ce *cfgerr.Error
+	if _, err := sim.DecodeSnapshot(v1); !errors.As(err, &ce) || !strings.Contains(err.Error(), "v1") {
+		t.Errorf("decoding a v1 snapshot: err = %v, want a *cfgerr.Error naming v1", err)
+	}
+	old := *snap
+	old.Version = "dessched-checkpoint/v1"
+	if _, err := sim.Resume(cfg, core.New(core.CDVFS), &old); !errors.As(err, &ce) {
+		t.Errorf("resuming a v1 snapshot: err = %v, want *cfgerr.Error", err)
 	}
 }

@@ -26,7 +26,7 @@ type (
 
 	// SimSnapshot is a resumable image of a running simulation, taken by
 	// ServerConfig.Checkpoint and consumed by ResumeSimulation. The
-	// serialized form is the versioned dessched-checkpoint/v1 JSON.
+	// serialized form is the versioned dessched-checkpoint/v2 JSON.
 	SimSnapshot = sim.Snapshot
 	// SimCheckpointConfig asks the engine to snapshot itself every Every
 	// simulated seconds (ServerConfig.Checkpoint).
