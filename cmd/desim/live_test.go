@@ -96,8 +96,8 @@ func TestRunClusterSimOutputs(t *testing.T) {
 	spansOut := filepath.Join(dir, "spans.json")
 	seriesOut := filepath.Join(dir, "series.json")
 	fl := simInstrumentFlags{spansOut: spansOut, seriesOut: seriesOut, epoch: 1}
-	if err := runClusterSim(2, "des-c", cfg, jobs, wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", fl,
-		traceOut, "", ""); err != nil {
+	if err := runClusterStream(2, "des-c", cfg, dessched.NewSliceJobSource(jobs), false, wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7,
+		dessched.HedgeConfig{}, "", "", 0, fl, traceOut, "", ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +127,8 @@ func TestRunClusterSimOutputs(t *testing.T) {
 		}
 	}
 
-	if err := runClusterSim(2, "des-c", cfg, jobs, wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7, dessched.HedgeConfig{}, "", "", fl, traceOut, "", ""); err != nil {
+	if err := runClusterStream(2, "des-c", cfg, dessched.NewSliceJobSource(jobs), false, wl.Duration, dessched.DispatchRoundRobin, nil, 160, 7,
+		dessched.HedgeConfig{}, "", "", 0, fl, traceOut, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	b2, _ := os.ReadFile(spansOut)

@@ -113,7 +113,7 @@ sim flags: -policy des|fcfs|ljf|sjf|edf|prio-sjf|prio-edf  -arch c|s|no  -wf  -d
            -checkpoint file.json  -checkpoint-every s  -resume file.json
            -telemetry file.prom  -perfetto file.json
            -live  -epoch s  -spans file.json  -spans-perfetto file.json
-           -spans-sample f  (deterministic sampling tracer; required with -stream)
+           -spans-sample f  (deterministic sampling tracer; bounded memory)
            -series file.json|.csv  -flight file.json  -ledger file.jsonl
            -servers m  -dispatch rr|ll|hash|by-class  -global-budget W
            -hedge-window s  -hedge-limit n
@@ -518,7 +518,7 @@ func cmdSim(args []string) error {
 	epoch := fs.Float64("epoch", 1, "epoch length for -live/-series sampling and cluster budget reflow, s")
 	spansOut := fs.String("spans", "", "write the hierarchical span trace as dessched-spans/v1 JSON to this file")
 	spansPerfetto := fs.String("spans-perfetto", "", "write the span trace as Perfetto/Chrome trace-event JSON to this file")
-	spansSample := fs.Float64("spans-sample", 0, "keep this fraction of hot per-event spans via the deterministic sampling tracer (0 = full trace; required with -stream -spans)")
+	spansSample := fs.Float64("spans-sample", 0, "keep this fraction of hot per-event spans via the deterministic sampling tracer (0 = full trace, which grows with the run)")
 	seriesOut := fs.String("series", "", "write per-epoch samples to this file (.csv for CSV, else JSON)")
 	flightOut := fs.String("flight", "", "arm the flight recorder and write tripped dumps as dessched-flight/v1 JSON to this file")
 	ledgerPath := fs.String("ledger", "", "append a dessched-run/v1 provenance manifest to this JSONL file (see `desim ledger`)")
@@ -614,45 +614,34 @@ func cmdSim(args []string) error {
 			horizon = wlSpec.Duration
 		}
 		hedge := dessched.HedgeConfig{Window: *hedgeWindow, Limit: *hedgeLimit}
-		if *stream {
-			if *traceOut != "" || *perfettoOut != "" {
-				return fmt.Errorf("-stream cannot record schedule traces (they grow with the run); drop -trace/-perfetto")
+		// -stream pulls arrivals lazily; otherwise they are materialized
+		// up front. Either way the fleet runs over one job source.
+		var src dessched.JobSource
+		switch {
+		case *stream && wlSpec != nil:
+			if src, err = dessched.NewWorkloadSpecStream(wlSpec); err != nil {
+				return err
 			}
-			if fl.wantSpans() && fl.spansSample <= 0 {
-				return fmt.Errorf("-stream needs a sampling tracer for span output (full traces grow with the run); add -spans-sample (e.g. -spans-sample 0.01)")
-			}
-			var src dessched.JobSource
-			switch {
-			case wlSpec != nil:
-				if src, err = dessched.NewWorkloadSpecStream(wlSpec); err != nil {
-					return err
-				}
-			case wlJobs != nil:
-				src = dessched.NewSliceJobSource(wlJobs)
-			default:
-				wl := dessched.PaperWorkload(*rate)
-				wl.Duration = *duration
-				wl.Seed = *seed
-				wl.PartialFraction = *partial
-				if src, err = dessched.NewWorkloadStream(wl); err != nil {
-					return err
-				}
-			}
-			return runClusterStream(*servers, spec, cfg, src, d, classes, *globalBudget,
-				*chaosSeed, horizon, hedge, *checkpointOut, *resumeIn, *checkpointEvery, fl, *telemetryOut)
-		}
-		jobs := wlJobs
-		if jobs == nil {
+		case wlJobs != nil:
+			src = dessched.NewSliceJobSource(wlJobs)
+		default:
 			wl := dessched.PaperWorkload(*rate)
 			wl.Duration = *duration
 			wl.Seed = *seed
 			wl.PartialFraction = *partial
-			if jobs, err = dessched.GenerateWorkload(wl); err != nil {
+			if *stream {
+				src, err = dessched.NewWorkloadStream(wl)
+			} else {
+				var jobs []dessched.Job
+				jobs, err = dessched.GenerateWorkload(wl)
+				src = dessched.NewSliceJobSource(jobs)
+			}
+			if err != nil {
 				return err
 			}
 		}
-		return runClusterSim(*servers, spec, cfg, jobs, horizon, d, classes, *globalBudget,
-			*chaosSeed, hedge, *checkpointOut, *resumeIn, fl, *traceOut, *perfettoOut, *telemetryOut)
+		return runClusterStream(*servers, spec, cfg, src, *stream, horizon, d, classes, *globalBudget,
+			*chaosSeed, hedge, *checkpointOut, *resumeIn, *checkpointEvery, fl, *traceOut, *perfettoOut, *telemetryOut)
 	}
 	if *stream {
 		return fmt.Errorf("-stream needs -servers > 1: the streamed pipeline is the cluster dispatch path")

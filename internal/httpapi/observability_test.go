@@ -15,8 +15,8 @@ import (
 
 // TestStreamedClusterOverSSE: stream=true drives the bounded-memory
 // cluster pipeline (workload.NewStream → cluster.RunStream) end to end
-// over SSE, and its done summary is bit-identical to the batch path —
-// the HTTP face of the streamed/batch identity the engine guarantees.
+// over SSE, and its done summary is bit-identical to a materialized run —
+// the HTTP face of the lazy/materialized identity the cluster guarantees.
 func TestStreamedClusterOverSSE(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(Options{}))
 	defer srv.Close()

@@ -76,7 +76,7 @@ func TestSimulateQueueOrderAccepted(t *testing.T) {
 }
 
 // TestClusterByClassDispatchAccepted drives by-class dispatch end to end
-// through the cluster endpoint, on both the batch and streamed paths.
+// through the cluster endpoint, with materialized and lazy arrivals.
 func TestClusterByClassDispatchAccepted(t *testing.T) {
 	srv := server(t)
 	const base = `"servers": 4, "cores": 4, "budget_w": 80, "duration_s": 2,

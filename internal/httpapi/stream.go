@@ -369,12 +369,21 @@ func runStreamSim(ctx context.Context, p streamParams, rec *telemetry.SeriesReco
 	if p.seed > 0 {
 		wl.Seed = p.seed
 	}
-	var jobs []job.Job
-	if !p.stream {
+	// stream=true pulls the arrivals lazily per dispatch epoch instead of
+	// materializing the whole job slice; the per-epoch samples fan into
+	// the SSE channel either way.
+	var src job.Source
+	if p.stream {
 		var err error
-		if jobs, err = workload.Generate(wl); err != nil {
+		if src, err = workload.NewStream(wl); err != nil {
 			return cluster.Result{}, err
 		}
+	} else {
+		jobs, err := workload.Generate(wl)
+		if err != nil {
+			return cluster.Result{}, err
+		}
+		src = job.NewSliceSource(jobs)
 	}
 
 	cfg := cluster.Config{
@@ -393,22 +402,7 @@ func runStreamSim(ctx context.Context, p streamParams, rec *telemetry.SeriesReco
 		}
 		cfg.Faults = faults
 	}
-	if p.stream {
-		// stream=true drives the bounded-memory streamed pipeline: the
-		// arrival stream is pulled lazily per dispatch epoch instead of
-		// materializing the whole job slice, and the per-epoch samples fan
-		// into the SSE channel exactly as in the batch path.
-		src, err := workload.NewStream(wl)
-		if err != nil {
-			return cluster.Result{}, err
-		}
-		res, err := cluster.RunStream(cfg, src)
-		if err != nil {
-			return cluster.Result{}, fmt.Errorf("stream: %w", err)
-		}
-		return res, nil
-	}
-	res, err := cluster.Run(cfg, jobs)
+	res, err := cluster.RunStream(cfg, src)
 	if err != nil {
 		return cluster.Result{}, fmt.Errorf("stream: %w", err)
 	}

@@ -234,6 +234,13 @@ func (w *slowWriter) Write(p []byte) (int, error) {
 	return w.ResponseRecorder.Write(p)
 }
 
+// WriteString shadows the recorder's own, which io.WriteString would
+// otherwise call without the delay.
+func (w *slowWriter) WriteString(p string) (int, error) {
+	time.Sleep(w.delay)
+	return w.ResponseRecorder.WriteString(p)
+}
+
 // TestStreamDropsFramesForSlowClient proves the engine-side hook never
 // blocks: with a one-slot buffer and a slow client, frames are dropped
 // (and counted) while the run completes and the done frame still arrives.

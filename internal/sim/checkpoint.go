@@ -34,6 +34,7 @@ import (
 	"dessched/internal/cfgerr"
 	"dessched/internal/eventq"
 	"dessched/internal/job"
+	"dessched/internal/mix"
 	"dessched/internal/yds"
 )
 
@@ -557,21 +558,21 @@ func restoreEngine(cfg Config, p Policy, snap *Snapshot) (*engine, error) {
 // evaluations at fixed sample points — two functions that agree on name and
 // probes are overwhelmingly likely to be the same function.
 func fingerprintConfig(cfg *Config, policy string) uint64 {
-	f := fnv1a{h: 14695981039346656037}
+	f := fnv1a{mix.NewFNV()}
 	f.str(policy)
 	f.i(cfg.Cores)
-	f.f64(cfg.Budget)
-	f.f64(cfg.Power.A)
-	f.f64(cfg.Power.Beta)
-	f.f64(cfg.Power.B)
+	f.F64(cfg.Budget)
+	f.F64(cfg.Power.A)
+	f.F64(cfg.Power.Beta)
+	f.F64(cfg.Power.B)
 	f.i(len(cfg.Ladder))
 	for _, s := range cfg.Ladder {
-		f.f64(s)
+		f.F64(s)
 	}
 	if cfg.Quality != nil {
 		f.str(cfg.Quality.Name())
 		for _, x := range [...]float64{1, 10, 100, 500, 1000} {
-			f.f64(cfg.Quality.Eval(x))
+			f.F64(cfg.Quality.Eval(x))
 		}
 	}
 	// Class-quality overrides are hashed only when present, keeping
@@ -588,70 +589,49 @@ func fingerprintConfig(cfg *Config, policy string) uint64 {
 			f.str(name)
 			f.str(q.Name())
 			for _, x := range [...]float64{1, 10, 100, 500, 1000} {
-				f.f64(q.Eval(x))
+				f.F64(q.Eval(x))
 			}
 		}
 	}
-	f.f64(cfg.Triggers.Quantum)
+	f.F64(cfg.Triggers.Quantum)
 	f.i(cfg.Triggers.Counter)
-	f.b(cfg.Triggers.IdleCore)
-	f.b(cfg.Triggers.OnArrival)
-	f.f64(cfg.IdleBurnSpeed)
-	f.f64(cfg.MaxSpeed)
-	f.b(cfg.TwoSpeedDiscrete)
+	f.Bool(cfg.Triggers.IdleCore)
+	f.Bool(cfg.Triggers.OnArrival)
+	f.F64(cfg.IdleBurnSpeed)
+	f.F64(cfg.MaxSpeed)
+	f.Bool(cfg.TwoSpeedDiscrete)
 	f.i(len(cfg.Faults))
 	for _, fl := range cfg.Faults {
 		f.i(fl.Core)
-		f.f64(fl.Start)
-		f.f64(fl.End)
-		f.f64(fl.SpeedFactor)
+		f.F64(fl.Start)
+		f.F64(fl.End)
+		f.F64(fl.SpeedFactor)
 	}
 	f.i(len(cfg.BudgetFaults))
 	for _, fl := range cfg.BudgetFaults {
-		f.f64(fl.Start)
-		f.f64(fl.End)
-		f.f64(fl.Fraction)
+		f.F64(fl.Start)
+		f.F64(fl.End)
+		f.F64(fl.Fraction)
 	}
 	f.i(int(cfg.Admission.Policy))
 	f.i(cfg.Admission.MaxQueue)
 	f.i(cfg.Retry.MaxAttempts)
-	f.f64(cfg.Retry.Backoff)
-	f.f64(cfg.Retry.Multiplier)
-	f.f64(cfg.Retry.MaxBackoff)
-	f.f64(cfg.Retry.DeadlineSlack)
-	return f.h
+	f.F64(cfg.Retry.Backoff)
+	f.F64(cfg.Retry.Multiplier)
+	f.F64(cfg.Retry.MaxBackoff)
+	f.F64(cfg.Retry.DeadlineSlack)
+	return f.Sum
 }
 
-// fnv1a is a minimal FNV-1a accumulator over typed fields.
-type fnv1a struct{ h uint64 }
+// fnv1a folds typed fields into a shared FNV-1a accumulator. Strings hash
+// their bytes, then their length — the order stored fingerprints fix.
+type fnv1a struct{ mix.FNV }
 
-const fnvPrime = 1099511628211
-
-func (f *fnv1a) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		f.h ^= v & 0xff
-		f.h *= fnvPrime
-		v >>= 8
-	}
-}
-
-func (f *fnv1a) f64(v float64) { f.u64(math.Float64bits(v)) }
-func (f *fnv1a) i(v int)       { f.u64(uint64(int64(v))) }
-
-func (f *fnv1a) b(v bool) {
-	if v {
-		f.u64(1)
-	} else {
-		f.u64(0)
-	}
-}
+func (f *fnv1a) i(v int) { f.U64(uint64(int64(v))) }
 
 func (f *fnv1a) str(s string) {
-	for i := 0; i < len(s); i++ {
-		f.h ^= uint64(s[i])
-		f.h *= fnvPrime
-	}
-	f.u64(uint64(len(s)))
+	f.Bytes(s)
+	f.U64(uint64(len(s)))
 }
 
 // FingerprintConfig exposes the checkpoint fingerprint to provenance

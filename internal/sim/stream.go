@@ -1,10 +1,10 @@
-// Streamed engine sessions: the incremental form of Run for the cluster's
-// streaming pipeline (docs/SCALE.md). A Stream is fed arrivals one dispatch
-// epoch at a time, advanced to each epoch boundary, and finished after the
+// Streamed engine sessions: the incremental form of Run, and the engine
+// every cluster run drives (docs/SCALE.md). A Stream is fed arrivals one
+// dispatch epoch at a time, advanced to each epoch boundary, and finished after the
 // last feed; memory stays bounded by the jobs in flight because departed
 // jobs are folded into the running Result the moment their deadlines pass.
 //
-// Equivalence to the batch path: Feed/Advance/Finish pop and process the
+// Equivalence to Run: Feed/Advance/Finish pop and process the
 // same events through the same processEvent body — Feed appends to the same
 // arrival and per-class deadline runs Run fills (cursor.go) — and the result
 // fold performs the same float additions in the same (arrival) order, so
@@ -50,8 +50,7 @@ type Stream struct {
 
 	// Budget streaming state: windows appended to cfg.BudgetFaults by
 	// ExtendBudget, with the newest held provisionally open so adjacent
-	// equal-fraction epochs merge into one window exactly as the batch
-	// budget scheduler merges them.
+	// equal-fraction epochs merge into one window.
 	baseWindows int     // creation-time cfg windows — never pruned
 	openFrac    float64 // fraction of the provisionally open window; 1 = none
 	baseFP      uint64  // creation-time config fingerprint (see Snapshot)
@@ -138,10 +137,9 @@ func (st *Stream) Feed(jobs []job.Job) error {
 // ExtendBudget declares the effective power-budget fraction over the epoch
 // [t0, t1): the streamed analogue of one entry of a pre-materialized
 // BudgetFaults schedule. Epochs must be contiguous and non-decreasing in
-// time. Consecutive equal-fraction epochs extend one window in place —
-// reproducing the batch scheduler's merged windows and their fault-edge
-// events exactly; a fraction of 1 closes any open window and records
-// nothing, as the batch path emits no window for full budget.
+// time. Consecutive equal-fraction epochs extend one window in place, so
+// a steady budget costs one pair of fault-edge events; a fraction of 1
+// closes any open window and records nothing.
 //
 // Edge events for windows declared before the first arrival are deferred to
 // the first Feed, so a session that is never fed holds no event state at

@@ -52,7 +52,7 @@ func chaosStreamCluster(t *testing.T, workers int, jobs []dessched.Job) (spans, 
 
 // TestStreamObservabilityWorkerIdentity: the always-on instruments —
 // sampled spans and flight-recorder dumps — serialize to byte-identical
-// files for any cluster Workers count, on the streamed path, under the
+// files for any cluster Workers count, over a lazy source, under the
 // most adversarial configuration the repo supports (chaos faults, job
 // retry, hedged dispatch). This is the property that makes a trace from
 // a 16-worker production run comparable to a single-worker repro.

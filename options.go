@@ -13,9 +13,8 @@ import (
 	"dessched/internal/telemetry/span"
 )
 
-// Cluster and sweep types, exported through the facade. (The pre-existing
-// Cluster alias names the emulated hardware testbed — see HardwareCluster —
-// not this simulated fleet.)
+// Cluster and sweep types, exported through the facade. (HardwareCluster
+// is the emulated hardware testbed, not this simulated fleet.)
 type (
 	// ClusterConfig describes a simulated fleet of DES servers behind a
 	// dispatcher sharing a global power budget.
@@ -101,12 +100,6 @@ const (
 	// round-robins within it; unlisted classes spill to a global cursor.
 	DispatchByClass = cluster.ByClass
 )
-
-// ParseDispatchPolicy parses a dispatch policy name.
-//
-// Deprecated: use ParseDispatch, which resolves the same names through
-// the unified policy registry (see Policies).
-func ParseDispatchPolicy(s string) (DispatchPolicy, error) { return ParseDispatch(s) }
 
 // AsConfigError unwraps err (through any %w chains) to the typed
 // configuration error, reporting whether one was found.
@@ -326,11 +319,12 @@ func applyOptions(cfg sim.Config, opts []SimOption) (sim.Config, []func(Result),
 	return cfg, s.finish, nil
 }
 
-// SimulateCluster runs a whole fleet: the dispatcher spreads jobs across
-// the servers, the hierarchical water-filling stage partitions the global
-// power budget per tick-epoch, and every server runs the single-server
-// engine in parallel. Results are bit-identical for any ClusterConfig
-// .Workers value. Of the simulation options only WithContext applies at
+// SimulateCluster runs a whole fleet over a materialized job slice:
+// SimulateClusterStream over NewSliceJobSource(jobs). The dispatcher
+// spreads jobs across the servers, the hierarchical water-filling stage
+// partitions the global power budget per tick-epoch, and every server runs
+// the single-server engine in parallel. Results are bit-identical for any
+// ClusterConfig.Workers value. Of the simulation options only WithContext applies at
 // fleet scope; per-run hooks (observers, recorders, telemetry, chaos) are
 // rejected with a typed error — use ClusterConfig.Faults for fleet chaos.
 func SimulateCluster(cfg ClusterConfig, jobs []Job, opts ...SimOption) (ClusterResult, error) {
@@ -350,7 +344,7 @@ func SimulateCluster(cfg ClusterConfig, jobs []Job, opts ...SimOption) (ClusterR
 				"dessched: only WithContext applies to SimulateCluster; per-run hooks cannot span the fleet's concurrent engines — use ClusterConfig.Instrument for fleet observability")
 		}
 	}
-	return cluster.Run(cfg, jobs)
+	return SimulateClusterStream(cfg, NewSliceJobSource(jobs))
 }
 
 // ClusterChaosFaults samples an independent seeded core-fault schedule for

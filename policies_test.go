@@ -46,20 +46,3 @@ func TestFacadeParsersAgree(t *testing.T) {
 		t.Error("ParseQueueOrder accepted lifo")
 	}
 }
-
-// TestDeprecatedParsersStillWork keeps the pre-registry entry points alive:
-// they are thin wrappers now but must behave identically.
-func TestDeprecatedParsersStillWork(t *testing.T) {
-	if p, err := ParseAdmissionPolicy("priority"); err != nil || p != AdmissionPriority {
-		t.Errorf("ParseAdmissionPolicy(priority) = %v, %v", p, err)
-	}
-	if _, err := ParseAdmissionPolicy("wat"); err == nil {
-		t.Error("ParseAdmissionPolicy accepted wat")
-	}
-	if d, err := ParseDispatchPolicy("by-class"); err != nil || d != DispatchByClass {
-		t.Errorf("ParseDispatchPolicy(by-class) = %v, %v", d, err)
-	}
-	if _, err := ParseDispatchPolicy("teleport"); err == nil {
-		t.Error("ParseDispatchPolicy accepted teleport")
-	}
-}

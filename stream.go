@@ -1,11 +1,9 @@
-// Streaming facade: lazy job sources and the bounded-memory streamed
-// cluster runner. The batch SimulateCluster materializes the whole job
-// stream up front; SimulateClusterStream instead pulls one dispatch epoch
-// of arrivals at a time and streams per-epoch results into the same folds,
-// so fleet size and job count are bounded by the arrival window, not by
-// RAM — 1,024 servers over 10M jobs run in well under a gigabyte. Results
-// are bit-identical to the batch path up to the engine-lifetime counters
-// documented in docs/SCALE.md.
+// Streaming facade: lazy job sources and the cluster runner. Every cluster
+// run pulls one dispatch epoch of arrivals at a time from a JobSource and
+// streams per-epoch results into running folds; SimulateCluster is the
+// same run over a materialized slice. Over a lazy source, fleet size and
+// job count are bounded by the arrival window, not by RAM — 1,024 servers
+// over 10M jobs run in well under a gigabyte.
 package dessched
 
 import (
@@ -30,7 +28,7 @@ type (
 	// the consumed arrival prefix (ClusterConfig.StreamCheckpoint).
 	ClusterStreamSnapshot = cluster.StreamSnapshot
 	// ClusterStreamCheckpointConfig delivers a ClusterStreamSnapshot every
-	// Every dispatch epochs during a streamed run
+	// Every dispatch epochs during a cluster run
 	// (ClusterConfig.StreamCheckpoint).
 	ClusterStreamCheckpointConfig = cluster.StreamCheckpointConfig
 )
@@ -62,37 +60,37 @@ func NewWorkloadSpecStream(s *WorkloadSpec) (JobSource, error) {
 	return st, nil
 }
 
-// SimulateClusterStream runs a whole fleet over a lazy job source in
-// bounded memory: per epoch, the coordinator pulls the window's arrivals,
-// routes them, water-fills the global power budget, and advances every
-// server engine before pulling the next window. Results are bit-identical
-// for any ClusterConfig.Workers value. Batch-only knobs — CollectJobs,
-// ClusterConfig.Checkpoint, and the unbounded Instrument sinks (a full
-// Tracer, Traces) — are rejected with typed errors; Series, Registry,
-// a sampling tracer (NewSamplingSpanTracer), and the flight recorder
-// (ClusterInstrument.Flight) all stay bounded and are supported.
+// SimulateClusterStream runs a whole fleet over a lazy job source: per
+// epoch, the coordinator pulls the window's arrivals, routes them,
+// water-fills the global power budget, and advances every server engine
+// before pulling the next window. Results are bit-identical for any
+// ClusterConfig.Workers value. Memory is bounded by the arrival window
+// unless the caller asks for O(jobs) output: CollectJobs, a full
+// (unsampled) Tracer, or ClusterInstrument.Traces. Series, Registry, a
+// sampling tracer (NewSamplingSpanTracer), and the flight recorder
+// (ClusterInstrument.Flight) all stay bounded.
 func SimulateClusterStream(cfg ClusterConfig, src JobSource) (ClusterResult, error) {
 	return cluster.RunStream(cfg, src)
 }
 
-// ResumeClusterStream continues a checkpointed streamed cluster run. src
-// must regenerate the original arrival stream from the start (sources are
-// deterministic per seed): the consumed prefix is replayed through the
+// ResumeClusterStream continues a checkpointed cluster run. src must
+// regenerate the original arrival stream from the start (sources are
+// deterministic per seed; NewSliceJobSource over the original jobs for a
+// SimulateCluster run): the consumed prefix is replayed through the
 // dispatch bookkeeping — no engine work — and verified against the
 // snapshot's rolling hash before the engines resume.
 func ResumeClusterStream(cfg ClusterConfig, src JobSource, snap *ClusterStreamSnapshot) (ClusterResult, error) {
 	return cluster.ResumeStream(cfg, src, snap)
 }
 
-// EncodeClusterStreamSnapshot serializes a streamed-cluster snapshot as
+// EncodeClusterStreamSnapshot serializes a cluster snapshot as
 // versioned JSON; the encoding round-trips float64 exactly, so a decoded
 // snapshot resumes bit-identically.
 func EncodeClusterStreamSnapshot(s *ClusterStreamSnapshot) ([]byte, error) {
 	return cluster.EncodeStreamSnapshot(s)
 }
 
-// DecodeClusterStreamSnapshot parses and validates a streamed-cluster
-// snapshot. Malformed input yields a typed *ConfigError, never a panic.
+// DecodeClusterStreamSnapshot parses and validates a cluster snapshot. Malformed input yields a typed *ConfigError, never a panic.
 func DecodeClusterStreamSnapshot(b []byte) (*ClusterStreamSnapshot, error) {
 	return cluster.DecodeStreamSnapshot(b)
 }
