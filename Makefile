@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-race bench bench-json verify chaos chaos-soak report fuzz cover fmt vet clean trace-view examples workload-smoke tournament-smoke ledger-smoke docs-lint
+.PHONY: all build test test-race bench bench-json bench-pair verify chaos chaos-soak report fuzz cover fmt vet clean trace-view examples workload-smoke tournament-smoke ledger-smoke docs-lint
 
 all: build vet test
 
@@ -28,6 +28,18 @@ BENCH_OUT ?= BENCH_sim.json
 BENCH_FLAGS ?=
 bench-json:
 	$(GO) run ./cmd/desim bench -out $(BENCH_OUT) $(BENCH_FLAGS)
+
+# Paired perfbench comparison of a revision against the working tree:
+# PAIRS alternating runs of SECONDS each, with each side's medians and
+# quartiles, the change's win count and failed calls, e.g.
+#   make bench-pair PARENT=HEAD WORKLOAD=fleet-stream PAIRS=10 SECONDS=10
+PAIRS ?= 10
+SECONDS ?= 10
+SEED ?= 1
+bench-pair:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || \
+		{ echo "usage: make bench-pair PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [SECONDS=10] [SEED=1]"; exit 2; }
+	bash scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS) $(SEED)
 
 # CI gate: every §V claim of the paper must hold.
 verify:

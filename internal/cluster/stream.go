@@ -1,13 +1,21 @@
 // The cluster execution path. Run and RunStream both pass their arrivals
-// through one pipeline that interleaves three stages per dispatch epoch:
+// through one two-stage pipeline: while the engine pool advances dispatch
+// epoch i, the coordinator goroutine prepares epoch i+1.
 //
-//	pull arrivals < t1  →  validate + route + hedge (sequential)
-//	                    →  water-fill the epoch's budget (sequential)
-//	                    →  feed + advance every server engine (parallel)
+//	coordinator (one goroutine):  prep(i+1): pull arrivals < t1
+//	                              → validate + route + hedge
+//	                              → water-fill the epoch's budget
+//	engine pool (parallel):       feed + advance every server through epoch i
+//	barrier (caller's goroutine): checkpoint epoch i; hand epoch i+1's
+//	                              budget, end-of-arrivals and hedge
+//	                              watches to the engines
 //
-// The sequential coordinator owns routing, hedging, demand accounting,
-// and the budget filler; the per-server engines are sim.Stream sessions
-// fed their substreams epoch by epoch. Results are bit-identical for any
+// The coordinator owns routing, hedging, demand accounting, and the budget
+// filler and writes each epoch's output into one of two alternating
+// epochIn buffers; the per-server engines are sim.Stream sessions fed
+// their substreams epoch by epoch from the other buffer, by a pool whose
+// workers claim chunks of servers from a shared counter. Neither stage
+// reads state the other writes, so results are bit-identical for any
 // Workers count.
 //
 // Memory stays bounded by the fleet's in-flight window: per-epoch batches
@@ -24,6 +32,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dessched/internal/cfgerr"
 	"dessched/internal/job"
@@ -51,8 +60,10 @@ func RunStream(cfg Config, src job.Source) (Result, error) {
 // streamCoord is the sequential coordinator of a cluster run: routing,
 // validation, hedging, demand accounting, the budget filler, and the
 // coordinator-level telemetry (span skeleton, dispatch log, budget
-// windows). Engines never touch it; it never touches engines — the epoch
-// loop alternates between the two, so neither needs locks.
+// windows). Engines never touch it; it never touches engines. Its prep
+// stage runs on its own goroutine, concurrently with the engines, and
+// hands them its output only through an epochIn the caller applies at
+// the next barrier, so neither side needs locks.
 type streamCoord struct {
 	cfg      Config
 	spec     PolicySpec
@@ -64,9 +75,9 @@ type streamCoord struct {
 	filler   *epochFiller // nil when GlobalBudget <= 0
 
 	validator job.StreamValidator
-	batches   [][]job.Job // current epoch's per-server arrivals (reused)
-	demand    []float64   // current epoch's per-server demand (filler only)
-	jobs      []int       // arrivals dispatched per server, cumulative
+	bufs      [2]epochIn // epoch e's coordinator output is bufs[e%2]
+	demand    []float64  // current epoch's per-server demand (filler only)
+	jobs      []int      // arrivals dispatched per server, cumulative
 	rerouted  int
 	horizon   float64 // max deadline seen
 	fed       int
@@ -77,7 +88,8 @@ type streamCoord struct {
 	n       int // total epochs to run, valid once srcDone
 
 	// Hedging: pairs in dispatch order, the hedged-ID set, and per-server
-	// watch/capture maps the engine observers fill at departure time.
+	// watch/capture maps the engine observers read and fill at departure
+	// time. Only the caller's goroutine writes watch, at barriers.
 	hedging  bool
 	pairs    []hedgePair
 	seen     map[job.ID]bool
@@ -132,11 +144,13 @@ func newStreamCoord(cfg Config) *streamCoord {
 		nominal:  server.Budget,
 		outages:  outages,
 		dp:       newDispatcher(cfg.Dispatch, cfg.Servers, server.Cores, outages, cfg.Classes),
-		batches:  make([][]job.Job, cfg.Servers),
 		jobs:     make([]int, cfg.Servers),
 		hedging:  cfg.Hedge.Enabled() && cfg.Servers >= 2,
 	}
 	c.hash = fnvCluster{mix.NewFNV()}
+	for b := range c.bufs {
+		c.bufs[b].batches = make([][]job.Job, cfg.Servers)
+	}
 	if cfg.GlobalBudget > 0 {
 		c.filler = newEpochFiller(cfg.Servers, server, cfg.GlobalBudget, epochLen, headroom, outages)
 		c.demand = make([]float64, cfg.Servers)
@@ -172,13 +186,89 @@ func newStreamCoord(cfg Config) *streamCoord {
 	return c
 }
 
-// ingest routes one epoch's arrivals: per job, in order — validate, fold
-// into the rolling hash, route, account demand and horizon, and apply the
-// hedging rules.
-func (c *streamCoord) ingest(epoch int, arr []job.Job) error {
-	for s := range c.batches {
-		c.batches[s] = c.batches[s][:0]
+// epochIn is one epoch's coordinator output, applied to the engines at
+// the barrier before that epoch's feed. The coordinator fills epoch i+1's
+// while the engines read epoch i's, so two alternate; their slices are
+// reused across epochs.
+type epochIn struct {
+	stop     bool        // the run ended before this epoch
+	err      error       // the ingest's error
+	batches  [][]job.Job // per-server arrivals and hedge replicas
+	noMore   bool        // the source ran dry in this epoch: ExpectMore(false)
+	filled   bool        // assigned holds this epoch's per-server budget
+	assigned []float64
+	watch    []watchIns // hedged replicas the engine observers must capture
+	fed      int        // arrivals consumed through this epoch
+	hash     uint64     // rolling hash of those arrivals
+}
+
+// watchIns marks job id's replica on server s as hedged.
+type watchIns struct {
+	s  int
+	id job.ID
+}
+
+// prep runs the coordinator's stage of epoch e into bufs[e%2] and returns
+// it: the stop check, the source pull, ingest, end-of-source accounting,
+// and the budget fill. It writes nothing an engine reads, so it may run
+// concurrently with the engines' work on epoch e-1.
+func (c *streamCoord) prep(e int, src job.Source) *epochIn {
+	in := &c.bufs[e%2]
+	in.stop, in.err, in.noMore, in.filled = false, nil, false, false
+	in.watch = in.watch[:0]
+	if c.srcDone && e >= c.n {
+		in.stop = true
+		return in
 	}
+	// A batch used for the first time starts at the capacity its twin has
+	// grown to, instead of growing again by append.
+	other := c.bufs[(e+1)%2].batches
+	for s, b := range in.batches {
+		if cap(b) == 0 && cap(other[s]) > 0 {
+			in.batches[s] = make([]job.Job, 0, cap(other[s]))
+		} else {
+			in.batches[s] = b[:0]
+		}
+	}
+	if in.err = c.ingest(e, src.Next(float64(e)*c.epochLen+c.epochLen), in); in.err != nil {
+		return in
+	}
+	if !c.srcDone && src.Done() {
+		c.noteDone(e)
+		in.noMore = true
+	}
+	if c.fillable(e) {
+		in.assigned = append(in.assigned[:0], c.fill(e)...)
+		in.filled = true
+	}
+	in.fed, in.hash = c.fed, c.hash.Sum
+	return in
+}
+
+// apply hands epoch [t0, t1)'s coordinator output to the engines, at the
+// barrier before the epoch's feed: the hedge watches, the end of
+// arrivals, and the epoch's budget. During a resume replay streams is nil
+// and only the watches take.
+func (c *streamCoord) apply(in *epochIn, streams []*sim.Stream, t0, t1 float64) {
+	for _, w := range in.watch {
+		c.watch[w.s][w.id] = true
+	}
+	if in.noMore {
+		for _, st := range streams {
+			st.ExpectMore(false)
+		}
+	}
+	if in.filled {
+		for s, st := range streams {
+			st.ExtendBudget(t0, t1, budgetFrac(in.assigned[s], c.nominal))
+		}
+	}
+}
+
+// ingest routes one epoch's arrivals into in: per job, in order —
+// validate, fold into the rolling hash, route, account demand and
+// horizon, and apply the hedging rules.
+func (c *streamCoord) ingest(epoch int, arr []job.Job, in *epochIn) error {
 	for s := range c.demand {
 		c.demand[s] = 0
 	}
@@ -206,20 +296,20 @@ func (c *streamCoord) ingest(epoch int, arr []job.Job) error {
 			c.events = append(c.events, telemetry.DispatchEvent{Time: j.Release, Job: int64(j.ID), Server: s, Rerouted: moved})
 		}
 		c.lastRelease = j.Release
-		c.place(j, s)
+		c.place(in, j, s)
 		if j.Deadline > c.horizon {
 			c.horizon = j.Deadline
 		}
 		c.fed++
-		c.maybeHedge(j, s)
+		c.maybeHedge(in, j, s)
 	}
 	return nil
 }
 
 // place appends a job (or replica) to a server's epoch batch with demand
 // and count accounting.
-func (c *streamCoord) place(j job.Job, s int) {
-	c.batches[s] = append(c.batches[s], j)
+func (c *streamCoord) place(in *epochIn, j job.Job, s int) {
+	in.batches[s] = append(in.batches[s], j)
 	c.jobs[s]++
 	if c.filler != nil {
 		c.demand[s] += j.Demand
@@ -227,8 +317,10 @@ func (c *streamCoord) place(j job.Job, s int) {
 }
 
 // maybeHedge applies the hedged-dispatch rules to one routed arrival: the
-// secondary replica goes to the next up server after the primary.
-func (c *streamCoord) maybeHedge(j job.Job, p int) {
+// secondary replica goes to the next up server after the primary. Both
+// replicas' watches are deferred to the epoch's barrier (apply), since
+// the engine observers read the watch maps while prep runs.
+func (c *streamCoord) maybeHedge(in *epochIn, j job.Job, p int) {
 	h := c.cfg.Hedge
 	if !c.hedging || j.Deadline-j.Release > h.Window || c.seen[j.ID] {
 		return
@@ -249,9 +341,8 @@ func (c *streamCoord) maybeHedge(j job.Job, p int) {
 	}
 	c.seen[j.ID] = true
 	c.pairs = append(c.pairs, hedgePair{id: j.ID, demand: j.Demand, class: j.Class, primary: p, secondary: sec})
-	c.place(j, sec)
-	c.watch[p][j.ID] = true
-	c.watch[sec][j.ID] = true
+	c.place(in, j, sec)
+	in.watch = append(in.watch, watchIns{p, j.ID}, watchIns{sec, j.ID})
 }
 
 // noteDone records the source's exhaustion after an epoch's ingest: the
@@ -322,8 +413,8 @@ func (c *streamCoord) closeWindow(s int, end float64) {
 // hedgeObserver returns the engine observer capturing hedged replicas'
 // terminal outcomes on server s: the first terminal event of a watched job
 // ID records the fields hedge resolution needs. It runs inside server s's
-// engine goroutine; the maps are only read by the coordinator after the
-// final barrier.
+// engine goroutine; the caller's goroutine writes watch and reads captured
+// only at barriers.
 func (c *streamCoord) hedgeObserver(s int) sim.Observer {
 	watch, captured := c.watch[s], c.captured[s]
 	return func(ev sim.Event) {
@@ -419,8 +510,10 @@ func (c *streamCoord) serverCfg(s int, probes []serverProbes) sim.Config {
 	return scfg
 }
 
-// snapshot captures the run at a completed-epoch boundary.
-func (c *streamCoord) snapshot(streams []*sim.Stream, epoch int) (*StreamSnapshot, error) {
+// snapshot captures the run at a completed-epoch boundary; in is the
+// last completed epoch's input, whose arrival cursor the snapshot pins
+// (the coordinator may already have ingested the next epoch).
+func (c *streamCoord) snapshot(streams []*sim.Stream, epoch int, in *epochIn) (*StreamSnapshot, error) {
 	per := make([]*sim.Snapshot, len(streams))
 	for s, st := range streams {
 		snap, err := st.Snapshot()
@@ -450,16 +543,18 @@ func (c *streamCoord) snapshot(streams []*sim.Stream, epoch int) (*StreamSnapsho
 		Fingerprint: fingerprintClusterConfig(c.cfg),
 		Servers:     c.cfg.Servers,
 		Epoch:       epoch,
-		JobsFed:     c.fed,
-		JobsHash:    c.hash.Sum,
+		JobsFed:     in.fed,
+		JobsHash:    in.hash,
 		Captured:    captured,
 		PerServer:   per,
 	}, nil
 }
 
 // parallelServers runs fn(s) for every server across a bounded worker
-// pool of static index shards, returning after all complete. fn must only
-// touch per-server state.
+// pool, returning after all complete. Workers claim chunks of about
+// servers/(16·workers) indices from a shared counter, so when one worker
+// shares its CPU with the coordinator the others take the remaining
+// servers. fn must only touch per-server state.
 func parallelServers(workers, servers int, fn func(s int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -473,19 +568,23 @@ func parallelServers(workers, servers int, fn func(s int)) {
 		}
 		return
 	}
+	chunk := max(servers/(16*workers), 1)
+	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		lo, hi := w*servers/workers, (w+1)*servers/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for s := lo; s < hi; s++ {
-				fn(s)
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= servers {
+					return
+				}
+				for s := lo; s < min(lo+chunk, servers); s++ {
+					fn(s)
+				}
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 }
@@ -500,20 +599,16 @@ func run(cfg Config, src job.Source, snap *StreamSnapshot) (Result, error) {
 
 	start := 0
 	if snap != nil {
-		// Replay the consumed prefix through the ingest stage only — no
-		// engine work, no budget windows pushed — to rebuild the
-		// coordinator's routing, hedging, validator, and filler state.
+		// Replay the consumed prefix through the coordinator stage only —
+		// no engine work, no budget windows pushed — to rebuild the
+		// coordinator's routing, hedging, validator, and filler state and
+		// the hedge watches of replicas still in flight.
 		for e := 0; e < snap.Epoch; e++ {
-			arr := src.Next(float64(e)*c.epochLen + c.epochLen)
-			if err := c.ingest(e, arr); err != nil {
-				return Result{}, err
+			in := c.prep(e, src)
+			if in.err != nil {
+				return Result{}, in.err
 			}
-			if src.Done() {
-				c.noteDone(e)
-			}
-			if c.fillable(e) {
-				c.fill(e)
-			}
+			c.apply(in, nil, 0, 0)
 		}
 		if c.fed != snap.JobsFed || c.hash.Sum != snap.JobsHash {
 			return Result{}, cfgerr.New("cluster", "snapshot",
@@ -550,10 +645,27 @@ func run(cfg Config, src job.Source, snap *StreamSnapshot) (Result, error) {
 		}
 	}
 
+	// The coordinator prepares epoch i+1 on its own goroutine while the
+	// pool advances epoch i. Every return waits for an outstanding prep,
+	// so src is never called after run returns.
 	workers := cfg.Workers
 	ctx := cfg.Server.Context
+	done := make(chan *epochIn, 1)
+	pending := false
+	startPrep := func(e int) {
+		pending = true
+		go func() { done <- c.prep(e, src) }()
+	}
+	defer func() {
+		if pending {
+			<-done
+		}
+	}()
+	startPrep(start)
 	for i := start; ; i++ {
-		if c.srcDone && i >= c.n {
+		in := <-done
+		pending = false
+		if in.stop {
 			break
 		}
 		// Every epoch is a fleet-wide barrier: poll cancellation here too,
@@ -563,30 +675,19 @@ func run(cfg Config, src job.Source, snap *StreamSnapshot) (Result, error) {
 				return Result{}, err
 			}
 		}
+		if in.err != nil {
+			return Result{}, in.err
+		}
 		t0 := float64(i) * c.epochLen
 		t1 := t0 + c.epochLen
-		arr := src.Next(t1)
-		if err := c.ingest(i, arr); err != nil {
-			return Result{}, err
-		}
-		if !c.srcDone && src.Done() {
-			c.noteDone(i)
-			for _, st := range streams {
-				st.ExpectMore(false)
-			}
-		}
-		if c.fillable(i) {
-			assigned := c.fill(i)
-			for s, st := range streams {
-				st.ExtendBudget(t0, t1, budgetFrac(assigned[s], c.nominal))
-			}
-		}
+		c.apply(in, streams, t0, t1)
+		startPrep(i + 1)
 		parallelServers(workers, cfg.Servers, func(s int) {
 			if errs[s] != nil {
 				return
 			}
-			if len(c.batches[s]) > 0 {
-				if errs[s] = streams[s].Feed(c.batches[s]); errs[s] != nil {
+			if len(in.batches[s]) > 0 {
+				if errs[s] = streams[s].Feed(in.batches[s]); errs[s] != nil {
 					return
 				}
 			}
@@ -598,7 +699,7 @@ func run(cfg Config, src job.Source, snap *StreamSnapshot) (Result, error) {
 			}
 		}
 		if sc := cfg.StreamCheckpoint; sc != nil && (i+1)%sc.Every == 0 {
-			ss, err := c.snapshot(streams, i+1)
+			ss, err := c.snapshot(streams, i+1, in)
 			if err != nil {
 				return Result{}, err
 			}

@@ -16,6 +16,10 @@ package job
 //     this exact (resolve generation lookahead eagerly), because the
 //     simulation engines keep their periodic quantum alive while arrivals
 //     are still expected — an optimistic Done would change event counts.
+//   - Calls are serialized, never concurrent, but a cluster run makes them
+//     on its coordinator goroutine rather than the caller's, while the
+//     server engines work on the previous epoch. A run makes no call after
+//     it returns.
 type Source interface {
 	Next(until float64) []Job
 	Done() bool

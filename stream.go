@@ -19,7 +19,9 @@ type (
 	// every remaining job released before until, Done reports exhaustion
 	// exactly. NewWorkloadStream, NewWorkloadSpecStream, and
 	// NewSliceJobSource construct sources; SimulateClusterStream consumes
-	// them one dispatch epoch at a time.
+	// them one dispatch epoch at a time. Next calls are serialized but may
+	// run on a goroutine other than the caller's, concurrently with the
+	// server engines; none happens after the run returns.
 	JobSource = job.Source
 
 	// ClusterStreamSnapshot is a resumable image of an in-flight streamed
