@@ -66,7 +66,8 @@ report:
 
 # Override FUZZTIME for a quick smoke run: make fuzz FUZZTIME=5s
 fuzz:
-	$(GO) test -fuzz=FuzzWaterLevel -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -fuzz='^FuzzWaterLevel$$' -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -fuzz='^FuzzWaterLevelExact$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -fuzz=FuzzLoadJobs -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -fuzz=FuzzWriteSSE -fuzztime=$(FUZZTIME) ./internal/httpapi

@@ -166,7 +166,7 @@ func ApplyArch(cfg *sim.Config, arch Arch) {
 func baseSpeed(cfg *sim.Config) float64 {
 	s := cfg.Power.SpeedFor(cfg.Budget / float64(cfg.Cores))
 	if cfg.MaxSpeed > 0 {
-		s = math.Min(s, cfg.MaxSpeed)
+		s = min(s, cfg.MaxSpeed)
 	}
 	if !cfg.Ladder.Continuous() {
 		down, ok := cfg.Ladder.RoundDown(s)
@@ -324,10 +324,10 @@ func (d *DES) planSDVFS(now float64, s *sim.State) {
 			maxReq = p
 		}
 	}
-	perCore := math.Min(maxReq, s.Budget()/float64(len(s.Cores)))
+	perCore := min(maxReq, s.Budget()/float64(len(s.Cores)))
 	speed := s.Cfg.Power.SpeedFor(perCore)
 	if s.Cfg.MaxSpeed > 0 {
-		speed = math.Min(speed, s.Cfg.MaxSpeed)
+		speed = min(speed, s.Cfg.MaxSpeed)
 	}
 	if !s.Cfg.Ladder.Continuous() {
 		if down, ok := s.Cfg.Ladder.RoundDown(speed); ok {
@@ -459,7 +459,7 @@ func (d *DES) planCDVFSNaive(now float64, s *sim.State) {
 		}
 		requests[i] = s.Cfg.Power.DynamicPower(speed)
 		if s.Cfg.MaxSpeed > 0 {
-			requests[i] = math.Min(requests[i], s.Cfg.Power.DynamicPower(s.Cfg.MaxSpeed))
+			requests[i] = min(requests[i], s.Cfg.Power.DynamicPower(s.Cfg.MaxSpeed))
 		}
 		plans[i] = segs
 		total += requests[i]

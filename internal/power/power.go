@@ -61,9 +61,18 @@ func (m Model) Power(s float64) float64 {
 }
 
 // DynamicPower returns only the dynamic component A*s^Beta.
+//
+// For the paper's Beta = 2 it multiplies s*s instead of calling math.Pow,
+// with the same bits: for y = 2, math.Pow squares the mantissa of s (in
+// [0.5, 1)) once, rounding exactly as s*s does, and rescales by a power of
+// two, which is exact while the result stays a normal number. Speeds in
+// (2^-500, 2^500) keep it normal; outside that range Pow is called.
 func (m Model) DynamicPower(s float64) float64 {
 	if s <= 0 {
 		return 0
+	}
+	if m.Beta == 2 && s > 0x1p-500 && s < 0x1p500 {
+		return m.A * (s * s)
 	}
 	return m.A * math.Pow(s, m.Beta)
 }

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -291,5 +292,62 @@ func TestFitPinsNegativeStaticToZero(t *testing.T) {
 func TestRMSEEmpty(t *testing.T) {
 	if RMSE(Default, nil) != 0 {
 		t.Error("RMSE(empty) != 0")
+	}
+}
+
+// DynamicPower's Beta = 2 fast path (A*(s*s)) returns the bits of
+// A*math.Pow(s, 2) on 10M random speeds spread over the accepted range
+// (2^-500, 2^500), on 1M over every positive float, around each end of the
+// range, and at special values; other exponents keep calling Pow.
+func TestDynamicPowerSquareMatchesPow(t *testing.T) {
+	m := Default
+	check := func(m Model, s float64) {
+		want := m.A * math.Pow(s, m.Beta)
+		if s <= 0 {
+			want = 0
+		}
+		if got := m.DynamicPower(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DynamicPower(%v) with %+v = %v (%#x), want %v (%#x)", s, m, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := rand.New(rand.NewPCG(2, 500))
+	const mantissa = 1<<52 - 1
+	for i := 0; i < 10_000_000; i++ {
+		var s float64
+		if i%2 == 0 {
+			// Any normal number in [2^-500, 2^500): random exponent and
+			// mantissa bits.
+			e := uint64(1023 - 500 + rng.IntN(1000))
+			s = math.Float64frombits(e<<52 | rng.Uint64()&mantissa)
+		} else {
+			// The speeds a simulation uses.
+			s = rng.Float64() * 8
+		}
+		check(m, s)
+	}
+	for i := 0; i < 1_000_000; i++ {
+		// Any finite positive number, subnormals included: outside the
+		// range the Pow call must stay.
+		check(m, math.Float64frombits(rng.Uint64N(0x7ff<<52)))
+	}
+	for _, edge := range []float64{0x1p-500, 0x1p500} {
+		s := edge
+		for i := 0; i < 1000; i++ {
+			s = math.Nextafter(s, 0)
+		}
+		for i := 0; i < 2000; i++ {
+			check(m, s)
+			s = math.Nextafter(s, math.Inf(1))
+		}
+	}
+	for _, s := range []float64{5e-324, 0x1p-1022, 0x1p-600, 0x1p-511, 0x1p511, 0x1p512, 0x1p600, math.MaxFloat64, math.Inf(1), math.NaN(), 0, math.Copysign(0, -1), -2, 1} {
+		check(m, s)
+		check(Model{A: 2.6075, Beta: 2, B: 9.2562}, s)
+	}
+	for _, beta := range []float64{1.791, 2.0000000000000004, 3, 1.9999999999999998} {
+		o := Model{A: 5, Beta: beta}
+		for i := 0; i < 10000; i++ {
+			check(o, rng.Float64()*8)
+		}
 	}
 }

@@ -302,7 +302,7 @@ func (p *Planner) rectifyTwoSpeed(out []yds.Segment, cfg Config, segs []yds.Segm
 		} else {
 			tHi = dur
 		}
-		tHi = math.Max(0, math.Min(tHi, dur))
+		tHi = max(0, min(tHi, dur))
 		cur := seg.Start
 		if tHi > 1e-12 {
 			out = append(out, yds.Segment{ID: seg.ID, Start: cur, End: cur + tHi, Speed: hi})
@@ -356,7 +356,7 @@ func snapSpeedCapped(l power.Ladder, cap, s float64) float64 {
 	if up, ok := l.RoundUp(s); ok && up <= cap+1e-12 {
 		return up
 	}
-	if down, ok := l.RoundDown(math.Min(s, cap)); ok {
+	if down, ok := l.RoundDown(min(s, cap)); ok {
 		return down
 	}
 	return 0
@@ -374,16 +374,19 @@ func snapSpeedCapped(l power.Ladder, cap, s float64) float64 {
 // division itself may cost. A real violation of Theorem 1 is off by far
 // more than either.
 func checkTheorem1(segs []yds.Segment, allocs []tians.Allocation, sStar float64) error {
-	volErr := 0.0
-	for _, a := range allocs {
-		if a.Volume > 0 {
-			volErr += 4 * (math.Nextafter(a.Total, math.Inf(1)) - a.Total)
-		}
-	}
+	volErr := -1.0 // summed when a segment first exceeds the limit
 	limit := sStar*(1+1e-9) + 1e-12
 	for _, seg := range segs {
 		if seg.Speed <= limit {
 			continue
+		}
+		if volErr < 0 {
+			volErr = 0
+			for _, a := range allocs {
+				if a.Volume > 0 {
+					volErr += 4 * (math.Nextafter(a.Total, math.Inf(1)) - a.Total)
+				}
+			}
 		}
 		if dur := seg.End - seg.Start; dur > 0 && seg.Speed <= limit+volErr/(power.Rate(1)*dur) {
 			continue

@@ -66,7 +66,7 @@ func (p Plan) Validate(cfg Config, now float64, ready []job.Ready) error {
 		prevEnd = seg.End
 	}
 	for id, v := range volumes {
-		if rem := byID[id].Remaining(); v > rem+tol*math.Max(1, rem) {
+		if rem := byID[id].Remaining(); v > rem+tol*max(1, rem) {
 			return fmt.Errorf("qeopt: job %d planned %g units but only %g remain", id, v, rem)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"dessched/internal/admission"
 	"dessched/internal/core"
+	"dessched/internal/job"
 	"dessched/internal/power"
 	"dessched/internal/quality"
 	"dessched/internal/sim"
@@ -19,7 +20,7 @@ type engineGoldenCase struct {
 	arch    core.Arch
 	rate    float64
 	seed    uint64
-	variant string // "", "discrete" or "classes-chaos"
+	variant string // "", "discrete", "classes-chaos", "idle-burn", "budget-fault", "outage" or "checkpoint"
 }
 
 // engineGoldenWant pins a run's outputs: Float64bits of the float fields
@@ -82,6 +83,20 @@ func engineGoldenRun(t *testing.T, c engineGoldenCase) sim.Result {
 		cfg.ClassPriority = map[string]int{"gold": 2}
 		cfg.ClassQuality = map[string]quality.Function{"bronze": quality.Linear{Span: 500}}
 		classed = true
+	case "idle-burn":
+		// No config change: under No-DVFS at a light load most cores sit
+		// idle, each drawing its base speed's power.
+	case "budget-fault":
+		// The budget halves for one second. A No-DVFS core keeps its
+		// nominal-budget speed, so every event in the window is a violation.
+		cfg.BudgetFaults = []sim.BudgetFault{{Start: 1, End: 2, Fraction: 0.5}}
+	case "outage":
+		// Two cores die mid-run: their plans are cleared and their jobs
+		// requeued; one comes back, the other stays dark.
+		cfg.Faults = []sim.Fault{
+			{Core: 3, Start: 0.8, End: 1.9, SpeedFactor: 0},
+			{Core: 11, Start: 1.3, End: sim.Forever, SpeedFactor: 0},
+		}
 	}
 	core.ApplyArch(&cfg, c.arch)
 	jobs, err := workload.Generate(wl)
@@ -98,7 +113,39 @@ func engineGoldenRun(t *testing.T, c engineGoldenCase) sim.Result {
 			}
 		}
 	}
+	if c.variant == "checkpoint" {
+		return engineGoldenResume(t, cfg, jobs, c.arch)
+	}
 	res, err := sim.Run(cfg, jobs, core.New(c.arch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// engineGoldenResume checkpoints the run at a period that falls inside
+// plan segments, then resumes from the middle snapshot after a JSON round
+// trip and returns the resumed run's result.
+func engineGoldenResume(t *testing.T, cfg sim.Config, jobs []job.Job, arch core.Arch) sim.Result {
+	t.Helper()
+	var snaps [][]byte
+	ck := cfg
+	ck.Checkpoint = &sim.CheckpointConfig{Every: 0.37, Sink: func(s *sim.Snapshot) error {
+		b, err := sim.EncodeSnapshot(s)
+		snaps = append(snaps, b)
+		return err
+	}}
+	if _, err := sim.Run(ck, jobs, core.New(arch)); err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 3 {
+		t.Fatalf("need at least 3 snapshots, got %d", len(snaps))
+	}
+	snap, err := sim.DecodeSnapshot(snaps[len(snaps)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Resume(cfg, core.New(arch), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +154,10 @@ func engineGoldenRun(t *testing.T, c engineGoldenCase) sim.Result {
 
 // The engine's outputs are pinned across engine rewrites: every float field
 // bit for bit and every count except Events, over the three architectures
-// at three loads and seeds, a discrete ladder, and a classed chaos run with
-// retry and idle-core triggering. The optimized-vs-naive and resume-vs-
+// at three loads and seeds, a discrete ladder, a classed chaos run with
+// retry and idle-core triggering, No-DVFS idle burn, a budget-fault window
+// that counts violations, core outages that clear plans, and a resume from
+// a checkpoint taken inside plan segments. The optimized-vs-naive and resume-vs-
 // uninterrupted tests each compare two runs of the current engine; this
 // table compares it against recorded values.
 func TestEngineGolden(t *testing.T) {
@@ -163,4 +212,8 @@ var engineGoldens = []struct {
 	{engineGoldenCase{arch: core.NoDVFS, rate: 400, seed: 3}, engineGoldenWant{0x40714a7215809af2, 0x408f71ba2e3ca8e3, 0x40282dd1ad6df410, 0x4074000000000000, 0x3ce2000000000000, 1179, 3, 1176, 0, 0, 0, 0, 0, 181, 0}},
 	{engineGoldenCase{arch: core.CDVFS, rate: 200, seed: 4, variant: "discrete"}, engineGoldenWant{0x406c10ff2b7bd5ec, 0x408c7e4ed7e7e46e, 0x0, 0x4074000000000000, 0x0, 546, 244, 302, 0, 0, 0, 0, 0, 122, 0}},
 	{engineGoldenCase{arch: core.CDVFS, rate: 300, seed: 5, variant: "classes-chaos"}, engineGoldenWant{0x406af40297f6f20a, 0x408d765a5b98bac5, 0x0, 0x4074000000000003, 0x0, 1090, 38, 811, 0, 240, 5, 4, 1, 307, 0}},
+	{engineGoldenCase{arch: core.NoDVFS, rate: 20, seed: 6, variant: "idle-burn"}, engineGoldenWant{0x40365ca201f3caad, 0x408dd1d939852109, 0x408ae310e09e3936, 0x4074000000000000, 0x0, 50, 49, 1, 0, 0, 0, 0, 0, 98, 0}},
+	{engineGoldenCase{arch: core.NoDVFS, rate: 150, seed: 7, variant: "budget-fault"}, engineGoldenWant{0x406777b8f42d00c1, 0x408f4062f5e11fff, 0x406bbe4caeabe6d9, 0x4074000000000000, 0x0, 436, 390, 46, 0, 0, 0, 0, 0, 702, 447}},
+	{engineGoldenCase{arch: core.CDVFS, rate: 150, seed: 8, variant: "outage"}, engineGoldenWant{0x4068919cc7f83a8c, 0x40890e451bc6f925, 0x0, 0x4074000000000004, 0x0, 462, 381, 81, 0, 0, 4, 0, 0, 409, 0}},
+	{engineGoldenCase{arch: core.CDVFS, rate: 200, seed: 9, variant: "checkpoint"}, engineGoldenWant{0x406d3f767f57abda, 0x408d21b64d09b262, 0x0, 0x4074000000000002, 0x0, 589, 305, 284, 0, 0, 0, 0, 0, 118, 0}},
 }

@@ -331,16 +331,26 @@ func (c *CoreState) Idle(t float64) bool {
 
 // SpeedAt returns the planned speed at time t (0 when idle).
 func (c *CoreState) SpeedAt(t float64) float64 {
+	s, _ := c.speedSpan(t)
+	return s
+}
+
+// speedSpan returns SpeedAt(t) and the instant until which SpeedAt keeps
+// returning it at later times, while the plan stays and no settle passes
+// t: the end of the segment covering t, or else the start of the next one
+// (+Inf after the last). The segments scanned before that one end at or
+// before t, so they neither cover a later time nor end the scan.
+func (c *CoreState) speedSpan(t float64) (speed, until float64) {
 	for i := c.planCursor; i < len(c.plan); i++ {
 		seg := c.plan[i]
 		if t >= seg.Start && t < seg.End {
-			return seg.Speed
+			return seg.Speed, seg.End
 		}
 		if seg.Start > t {
-			break
+			return 0, seg.Start
 		}
 	}
-	return 0
+	return 0, math.Inf(1)
 }
 
 // ReadyJobs converts the core's live jobs to the job.Ready form consumed by

@@ -63,3 +63,23 @@ func FuzzBisect(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWaterLevelExact checks WaterLevelScratch against the linear walk it
+// replaced: identical level bits and saturation, or a panic exactly when
+// the walk panics, for 0..40 items with repeated and equal floors and
+// ceilings, signed zeros, infinities, NaN, zero capacity and capacity at
+// or above the total.
+func FuzzWaterLevelExact(f *testing.F) {
+	f.Add([]byte{4, 0, 40, 0, 50, 0, 60, 0, 70}, 16.0, uint8(0))
+	f.Add([]byte{3, 0, 1, 0, 1, 0, 1}, 1.0, uint8(2))
+	f.Add([]byte{2, 1, 0, 0, 1}, 0.0, uint8(1))
+	f.Add([]byte{2, 14, 14, 0, 16}, 3.0, uint8(4))
+	f.Add([]byte{5, 60, 61, 62, 63, 64, 65, 60, 61, 62, 63}, 2.0, uint8(9))
+	f.Add([]byte{0}, 1.0, uint8(5))
+	f.Fuzz(func(t *testing.T, data []byte, capacity float64, mode uint8) {
+		capacity, lo, hi := levelCase(data, capacity, mode)
+		var scratch []float64
+		checkLevelExact(t, capacity, lo, hi, &scratch)
+		checkLevelExact(t, capacity, lo, hi, nil)
+	})
+}

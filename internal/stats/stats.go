@@ -207,6 +207,6 @@ func AlmostEqual(a, b, tol float64) bool {
 	if d <= tol {
 		return true
 	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
+	scale := max(math.Abs(a), math.Abs(b))
 	return d <= tol*scale
 }

@@ -36,7 +36,7 @@ func Offline(speed float64, tasks []Task) ([]Allocation, error) {
 			return nil, fmt.Errorf("tians: task %d has empty window [%g, %g]", t.ID, t.Release, t.Deadline)
 		}
 		if t.Progress >= t.Demand || rate == 0 {
-			done = append(done, Allocation{ID: t.ID, Volume: 0, Total: math.Min(t.Progress, t.Demand)})
+			done = append(done, Allocation{ID: t.ID, Volume: 0, Total: min(t.Progress, t.Demand)})
 			continue
 		}
 		pending = append(pending, t)
@@ -103,7 +103,7 @@ func Offline(speed float64, tasks []Task) ([]Allocation, error) {
 		inGroup := make(map[int]bool, len(bestGroup))
 		for _, idx := range bestGroup {
 			t := pending[idx]
-			total := math.Min(t.Demand, math.Max(bestLevel, t.Progress))
+			total := min(t.Demand, max(bestLevel, t.Progress))
 			done = append(done, Allocation{ID: t.ID, Volume: total - t.Progress, Total: total})
 			inGroup[idx] = true
 		}
@@ -150,7 +150,7 @@ func FeasibleOffline(speed float64, tasks []Task, allocs []Allocation) error {
 		if a.Total > it.t.Demand+tol {
 			return fmt.Errorf("tians: task %d total %g exceeds demand %g", a.ID, a.Total, it.t.Demand)
 		}
-		it.rem = math.Max(0, a.Volume)
+		it.rem = max(0, a.Volume)
 	}
 	if rate == 0 {
 		for _, it := range items {
@@ -187,7 +187,7 @@ func FeasibleOffline(speed float64, tasks []Task, allocs []Allocation) error {
 				now = next
 				break
 			}
-			span := math.Min(next, run.t.Deadline) - now
+			span := min(next, run.t.Deadline) - now
 			doable := span * rate
 			if doable >= run.rem {
 				now += run.rem / rate
@@ -197,7 +197,7 @@ func FeasibleOffline(speed float64, tasks []Task, allocs []Allocation) error {
 				now += span
 			}
 		}
-		now = math.Max(now, next)
+		now = max(now, next)
 	}
 	for _, it := range items {
 		if it.rem > tol {

@@ -137,7 +137,7 @@ func (s Schedule) Validate(tasks []Task) error {
 		if t.Volume <= 0 {
 			continue
 		}
-		if math.Abs(got[t.ID]-t.Volume) > tol*math.Max(1, t.Volume) {
+		if math.Abs(got[t.ID]-t.Volume) > tol*max(1, t.Volume) {
 			return fmt.Errorf("yds: task %d got volume %g, want %g", t.ID, got[t.ID], t.Volume)
 		}
 	}
@@ -170,16 +170,24 @@ func prepSameRelease(now float64, tasks []Task, s *Scratch) ([]Task, error) {
 		}
 		work = append(work, t)
 	}
-	slices.SortFunc(work, func(a, b Task) int {
-		if c := cmp.Compare(a.Deadline, b.Deadline); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	// Ready sets usually arrive in deadline order already; (deadline, ID)
+	// is a total order over distinct IDs, so skipping the sort then leaves
+	// the order the sort would produce.
+	if !slices.IsSortedFunc(work, byDeadline) {
+		slices.SortFunc(work, byDeadline)
+	}
 	if s != nil {
 		s.work = work[:len(work)] // keep grown capacity for reuse
 	}
 	return work, nil
+}
+
+// byDeadline orders tasks by deadline, then ID.
+func byDeadline(a, b Task) int {
+	if c := cmp.Compare(a.Deadline, b.Deadline); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // SameRelease computes the Energy-OPT schedule when every task is released
