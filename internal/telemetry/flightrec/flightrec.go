@@ -95,15 +95,17 @@ type Record struct {
 // rec is the in-ring representation of a Record: pointer-free, so the
 // per-event ring store compiles to a plain copy with no GC write
 // barrier. Class names are interned to an index and materialized back
-// into strings only when a dump is actually captured.
+// into strings only when a dump is actually captured. The kind fits a
+// byte (the engine has ten), which keeps a rec at 40 bytes: the ring is
+// allocated and zeroed whole for every run.
 type rec struct {
 	time    float64
 	quality float64
 	job     int64
-	kind    sim.EventKind
 	core    int32
 	queue   int32
 	class   int32 // index into Recorder.classes, -1 = none
+	kind    uint8
 }
 
 // Dump is one tripped snapshot: the ring's contents oldest-first at the
@@ -192,7 +194,7 @@ func (r *Recorder) Observe(e sim.Event) {
 	slot.time = e.Time
 	slot.quality = e.Quality
 	slot.job = int64(e.Job)
-	slot.kind = e.Kind
+	slot.kind = uint8(e.Kind)
 	slot.core = int32(e.Core)
 	slot.queue = int32(e.Queue)
 	slot.class = -1
@@ -297,7 +299,7 @@ func (r *Recorder) window() []Record {
 // record expands one in-ring rec into the exported Record form.
 func (r *Recorder) record(e rec) Record {
 	return Record{
-		Time: e.time, Kind: e.kind, Job: e.job, Core: int(e.core),
+		Time: e.time, Kind: sim.EventKind(e.kind), Job: e.job, Core: int(e.core),
 		Queue: int(e.queue), Quality: e.quality, Class: r.className(e.class),
 	}
 }

@@ -206,3 +206,23 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Error("foreign schema accepted")
 	}
 }
+
+// TestRingKeepsEveryKind: every engine event kind reads back from a dump
+// as itself, so the byte the ring stores it in is wide enough.
+func TestRingKeepsEveryKind(t *testing.T) {
+	kinds := []sim.EventKind{
+		sim.EvArrival, sim.EvInvoke, sim.EvComplete, sim.EvDeadline, sim.EvDiscard,
+		sim.EvShed, sim.EvRequeue, sim.EvRetry, sim.EvAbandon,
+	}
+	r := New(Config{Depth: len(kinds), ShedBurst: -1})
+	for i, k := range kinds {
+		r.Observe(ev(float64(i), k, int64(i)))
+	}
+	r.Trip("manual", 10, "")
+	recs := r.Dumps()[0].Records
+	for i, k := range kinds {
+		if recs[i].Kind != k {
+			t.Errorf("record %d: kind %v, want %v", i, recs[i].Kind, k)
+		}
+	}
+}

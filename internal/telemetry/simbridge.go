@@ -199,11 +199,20 @@ func (m multiRecorder) RecordExec(core int, seg yds.Segment) {
 	}
 }
 
-// MultiObserver fans events out to several observers.
+// MultiObserver fans events out to several observers, in order. It chains
+// them rather than looping over them: each call site in the chain always
+// calls the same observer, which the CPU predicts, where a loop's one call
+// site alternates between them on every event.
 func MultiObserver(obs ...sim.Observer) sim.Observer {
+	switch len(obs) {
+	case 0:
+		return func(sim.Event) {}
+	case 1:
+		return obs[0]
+	}
+	first, rest := obs[0], MultiObserver(obs[1:]...)
 	return func(e sim.Event) {
-		for _, o := range obs {
-			o(e)
-		}
+		first(e)
+		rest(e)
 	}
 }

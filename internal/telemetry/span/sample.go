@@ -1,6 +1,10 @@
 package span
 
-import "dessched/internal/mix"
+import (
+	"math"
+
+	"dessched/internal/mix"
+)
 
 // Deterministic span sampling. A sampling tracer keeps a seeded,
 // per-name-counter slice of the spans it is offered: the keep/drop
@@ -36,7 +40,24 @@ type sampleRule struct {
 	name    string
 	hash    uint64
 	rate    float64
+	limit   uint64 // keepLimit(rate)
 	counter uint64
+}
+
+// newRule returns the sampling rule for name at the given rate.
+func newRule(name string, rate float64) sampleRule {
+	return sampleRule{name: name, hash: mix.String(name), rate: rate, limit: keepLimit(rate)}
+}
+
+// keepLimit is the integer form of a keep rate below 1: a 53-bit draw m,
+// read as the fraction m/2^53, is under rate exactly when m < ceil(rate*2^53).
+// Both m/2^53 and rate*2^53 are exact in float64, so the two tests agree
+// on every draw. Non-positive and NaN rates keep nothing.
+func keepLimit(rate float64) uint64 {
+	if !(rate > 0) {
+		return 0
+	}
+	return uint64(math.Ceil(min(rate, 1) * (1 << 53)))
 }
 
 type sampler struct {
@@ -68,7 +89,7 @@ func NewSamplingLimited(cfg SampleConfig, maxSpans int) *Tracer {
 	}
 	sortStrings(names)
 	for _, name := range names {
-		s.rules = append(s.rules, sampleRule{name: name, hash: mix.String(name), rate: cfg.Rates[name]})
+		s.rules = append(s.rules, newRule(name, cfg.Rates[name]))
 	}
 	t.sampler = s
 	return t
@@ -137,13 +158,14 @@ func (s *sampler) keep(name string) bool {
 	}
 	n := r.counter
 	r.counter++
-	if r.rate <= 0 {
+	if r.limit == 0 {
 		return false
 	}
 	x := mix.SplitMix64(s.seed ^ r.hash ^ (n+1)*0x9E3779B97F4A7C15)
-	// 53 uniform bits → [0,1); strict < keeps rate-0 exact and rate-1
-	// (handled above) total.
-	return float64(x>>11)*(1.0/(1<<53)) < r.rate
+	// 53 uniform bits, kept when their fraction of 2^53 is under the rate
+	// (see keepLimit); a rate of 0 keeps nothing, and rate 1 (handled
+	// above) everything.
+	return x>>11 < r.limit
 }
 
 // rule finds (or, for default-rate names, lazily creates) the sampling
@@ -155,6 +177,6 @@ func (s *sampler) rule(name string) *sampleRule {
 			return &s.rules[i]
 		}
 	}
-	s.rules = append(s.rules, sampleRule{name: name, hash: mix.String(name), rate: s.defaultRate})
+	s.rules = append(s.rules, newRule(name, s.defaultRate))
 	return &s.rules[len(s.rules)-1]
 }
